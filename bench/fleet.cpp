@@ -46,8 +46,6 @@ void Usage(const char* argv0) {
       "  --checkpoint-every N       checkpoint after every N finished shards\n"
       "  --stop-after-checkpoints N exit after the Nth checkpoint\n"
       "  --resume FILE              warm-start from a checkpoint file\n"
-      "  --park MODE                parking mode: delta (default) or full\n"
-      "  --park-rebase-every N      delta chain length before a rebase\n"
       "  --ci                       also write BENCH_fleet.json metrics\n"
       "  --quiet                    suppress the stdout summary\n",
       argv0);
@@ -72,8 +70,6 @@ int main(int argc, char** argv) {
   std::string spec_path;
   std::string fleet_name;
   std::string out_path;
-  std::string park_mode;
-  uint64_t park_rebase_every = 0;
   FleetRunOptions options;
   bool ci = false;
   bool quiet = false;
@@ -96,14 +92,6 @@ int main(int argc, char** argv) {
       options.stop_after_checkpoints = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--resume" && i + 1 < argc) {
       options.resume_path = argv[++i];
-    } else if (arg == "--park" && i + 1 < argc) {
-      park_mode = argv[++i];
-      if (park_mode != "delta" && park_mode != "full") {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (arg == "--park-rebase-every" && i + 1 < argc) {
-      park_rebase_every = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--ci") {
       ci = true;
     } else if (arg == "--quiet") {
@@ -136,18 +124,6 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     out_path = fleet->name + ".json";
   }
-  // Park knobs are excluded from the checkpoint fingerprint, so CLI
-  // overrides compose freely with --checkpoint/--resume.
-  FleetSpec fleet_run = *fleet;
-  if (park_mode == "full") {
-    fleet_run.park_mode = FleetParkMode::kFull;
-  } else if (park_mode == "delta") {
-    fleet_run.park_mode = FleetParkMode::kDelta;
-  }
-  if (park_rebase_every > 0) {
-    fleet_run.park_rebase_every = park_rebase_every;
-  }
-
   std::printf("fleet '%s': %llu devices, %llu shards, %d thread%s\n",
               fleet->name.c_str(),
               static_cast<unsigned long long>(fleet->device_count),
@@ -155,7 +131,7 @@ int main(int argc, char** argv) {
               options.threads, options.threads == 1 ? "" : "s");
 
   const uint64_t rss_before_kib = PeakRssKiB();
-  Result<FleetOutcome> run = RunFleet(spec, fleet_run, options);
+  Result<FleetOutcome> run = RunFleet(spec, *fleet, options);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
     return 1;
@@ -193,23 +169,15 @@ int main(int argc, char** argv) {
     bench << "  \"fleet\": \"" << fleet->name << "\",\n";
     bench << "  \"devices\": " << fleet->device_count << ",\n";
     bench << "  \"threads\": " << options.threads << ",\n";
-    bench << "  \"park_mode\": \""
-          << (fleet_run.park_mode == FleetParkMode::kDelta ? "delta" : "full")
-          << "\",\n";
     bench << "  \"wall_seconds\": " << outcome.wall_seconds << ",\n";
     bench << "  \"devices_per_sec\": " << devices_per_sec << ",\n";
     bench << "  \"peak_rss_mib\": " << rss_peak_kib / 1024.0 << ",\n";
     bench << "  \"rss_before_mib\": " << rss_before_kib / 1024.0 << ",\n";
     bench << "  \"parked_raw_mean_bytes\": "
           << outcome.acc.parked_raw_bytes().Mean() << ",\n";
-    bench << "  \"park_stored_mean_bytes\": " << outcome.park.StoredMean()
-          << ",\n";
     bench << "  \"park_resident_mean_bytes\": " << outcome.park.ResidentMean()
           << ",\n";
     bench << "  \"park_events\": " << outcome.park.park_events << ",\n";
-    bench << "  \"park_delta\": " << outcome.park.delta_parks << ",\n";
-    bench << "  \"park_full\": " << outcome.park.full_parks << ",\n";
-    bench << "  \"park_rebase\": " << outcome.park.rebases << ",\n";
     bench << "  \"scratch_grows\": " << outcome.park.scratch_grows << ",\n";
     bench << "  \"steals\": " << outcome.sched.steals << ",\n";
     bench << "  \"worker_busy_min_seconds\": " << outcome.sched.busy_seconds_min

@@ -247,20 +247,18 @@ MicroOp MeasureMapUpdate(bool ci) {
   return {"map_update", ElapsedNs(start) / static_cast<double>(target), target};
 }
 
-// Park codec on a worn-device snapshot: full zero-run pack/unpack (the
-// fleet's park/unpark hot path) and delta pack/apply against the previous
-// slice's snapshot (DESIGN.md §14). `bytes` is the worn snapshot from
+// Park codec on a worn-device snapshot: kParkFull pack/unpack, the fleet's
+// park/unpark hot path (DESIGN.md §14). `bytes` is the worn snapshot from
 // MeasureSnapshot so the input has realistic zero structure.
 void MeasurePark(bool ci, const std::vector<uint8_t>& bytes,
                  std::vector<MicroOp>* ops) {
-  ParkScratch scratch;
   const uint64_t reps = ci ? 50 : 500;
 
   std::vector<uint8_t> packed;
   double pack_ns = 0.0;
   for (uint64_t i = 0; i < reps; ++i) {
     const auto start = SteadyClock::now();
-    ParkPackFull(bytes, /*transpose=*/true, &scratch, &packed);
+    ParkPackFull(bytes, &packed);
     pack_ns += ElapsedNs(start);
     benchmark::DoNotOptimize(packed.data());
   }
@@ -270,7 +268,7 @@ void MeasurePark(bool ci, const std::vector<uint8_t>& bytes,
   double unpack_ns = 0.0;
   for (uint64_t i = 0; i < reps; ++i) {
     const auto start = SteadyClock::now();
-    const Status st = ParkUnpackFull(packed, &scratch, &raw);
+    const Status st = ParkUnpackFull(packed, &raw);
     unpack_ns += ElapsedNs(start);
     if (!st.ok()) {
       std::fprintf(stderr, "park unpack failed: %s\n", st.message().c_str());
@@ -278,40 +276,6 @@ void MeasurePark(bool ci, const std::vector<uint8_t>& bytes,
     }
   }
   ops->push_back({"park_unpack", unpack_ns / static_cast<double>(reps), reps});
-
-  // Delta input: the same snapshot with a sparse sprinkling of low-byte
-  // edits, the shape one extra slice of wear produces.
-  std::vector<uint8_t> cur = bytes;
-  uint64_t x = 77;
-  for (size_t i = 0; i < cur.size() / 512; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    cur[(x >> 17) % cur.size()] ^= static_cast<uint8_t>(1 + (x & 0x7f));
-  }
-  std::vector<uint8_t> delta;
-  double dpack_ns = 0.0;
-  for (uint64_t i = 0; i < reps; ++i) {
-    const auto start = SteadyClock::now();
-    ParkPackDelta(cur, bytes, &scratch, &delta);
-    dpack_ns += ElapsedNs(start);
-    benchmark::DoNotOptimize(delta.data());
-  }
-  ops->push_back(
-      {"park_delta_pack", dpack_ns / static_cast<double>(reps), reps});
-
-  double dapply_ns = 0.0;
-  for (uint64_t i = 0; i < reps; ++i) {
-    raw = bytes;  // rebuild the base the delta applies onto (untimed-ish)
-    const auto start = SteadyClock::now();
-    const Status st = ParkApplyDelta(delta, &scratch, &raw);
-    dapply_ns += ElapsedNs(start);
-    if (!st.ok()) {
-      std::fprintf(stderr, "park delta apply failed: %s\n",
-                   st.message().c_str());
-      std::exit(1);
-    }
-  }
-  ops->push_back(
-      {"park_delta_apply", dapply_ns / static_cast<double>(reps), reps});
 }
 
 // Snapshot save/load of a worn mid-campaign device (DESIGN.md §12).

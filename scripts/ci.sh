@@ -9,10 +9,10 @@
 #                           baseline. Skipped with FLASHSIM_SKIP_PERF_GATE=1
 #                           (e.g. on a runner class the baseline was not
 #                           measured on).
-#   * fleet-smoke         — threads-1/delta-park vs threads-4/full-park runs
-#                           must produce byte-identical reports; the delta
-#                           run's metrics feed a deterministic >=3x parked
-#                           stored/raw gate and (unless skipped, same env
+#   * fleet-smoke         — threads-1 vs threads-4 runs must produce
+#                           byte-identical reports; the threads-1 run's
+#                           metrics feed a deterministic >=1.6x raw/resident
+#                           parked-bytes gate and (unless skipped, same env
 #                           var) an 85% devices/sec gate vs BENCH_fleet.json.
 #   * latency --ci        — event-engine gates: degenerate C=1/D=1 must be
 #                           bit-exact with the flat model, random-write p99
@@ -68,30 +68,31 @@ if [[ "${FLASHSIM_SKIP_PERF_GATE:-0}" != "1" ]]; then
   }'
 fi
 
-echo "=== fleet-smoke: threads 1/delta vs threads 4/full must be byte-identical ==="
+echo "=== fleet-smoke: threads 1 vs threads 4 must be byte-identical ==="
 mkdir -p build-release/fleet_out
 (cd build-release && ./bench/fleet --spec ../examples/specs/fleet_smoke.spec --threads 1 \
-  --park delta --out fleet_out/smoke_t1.json --ci --quiet)
+  --out fleet_out/smoke_t1.json --ci --quiet)
 ./build-release/bench/fleet --spec examples/specs/fleet_smoke.spec --threads 4 \
-  --park full --out build-release/fleet_out/smoke_t4.json --quiet
+  --out build-release/fleet_out/smoke_t4.json --quiet
 if ! diff build-release/fleet_out/smoke_t1.json build-release/fleet_out/smoke_t4.json; then
-  echo "fleet-smoke FAIL: report differs across thread count / park mode" >&2
+  echo "fleet-smoke FAIL: report differs across thread count" >&2
   exit 1
 fi
 echo "fleet-smoke ok: reports byte-identical ($(wc -c < build-release/fleet_out/smoke_t1.json) bytes)"
 
-# Deterministic parked-bytes gate: stored/raw ratio is a pure function of the
-# spec (no timing involved), so it gates unconditionally at the ISSUE target.
+# Deterministic parked-bytes gate: mean bytes a parked device holds versus
+# its raw snapshot. A pure function of the spec (no timing involved), so it
+# gates unconditionally.
 raw_mean=$(awk -F': ' '/"parked_raw_mean_bytes"/ {gsub(/,/, "", $2); print $2}' \
   build-release/BENCH_fleet.json)
-stored_mean=$(awk -F': ' '/"park_stored_mean_bytes"/ {gsub(/,/, "", $2); print $2}' \
+resident_mean=$(awk -F': ' '/"park_resident_mean_bytes"/ {gsub(/,/, "", $2); print $2}' \
   build-release/BENCH_fleet.json)
-awk -v r="${raw_mean}" -v s="${stored_mean}" 'BEGIN {
-  if (s + 0 <= 0 || r + 0 < 3.0 * s) {
-    printf "fleet park gate FAIL: raw %.0f / stored %.0f < 3.0x\n", r, s
+awk -v r="${raw_mean}" -v s="${resident_mean}" 'BEGIN {
+  if (s + 0 <= 0 || r + 0 < 1.6 * s) {
+    printf "fleet park gate FAIL: raw %.0f / resident %.0f < 1.6x\n", r, s
     exit 1
   }
-  printf "fleet park gate ok: %.0f -> %.0f bytes/device (%.2fx >= 3.0x)\n", r, s, r / s
+  printf "fleet park gate ok: %.0f -> %.0f bytes/device (%.2fx >= 1.6x)\n", r, s, r / s
 }'
 
 if [[ "${FLASHSIM_SKIP_PERF_GATE:-0}" != "1" ]]; then

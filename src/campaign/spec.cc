@@ -332,18 +332,6 @@ Status ApplyFleetKey(const KeyValue& kv, size_t line_no, FleetSpec* f) {
     ok = ParseU64(v, &f->batch_requests) && f->batch_requests > 0;
   } else if (k == "survival_bin_hours") {
     ok = ParseF64(v, &f->survival_bin_hours) && f->survival_bin_hours > 0.0;
-  } else if (k == "park") {
-    if (v == "delta") {
-      f->park_mode = FleetParkMode::kDelta;
-    } else if (v == "full") {
-      f->park_mode = FleetParkMode::kFull;
-    } else {
-      ok = false;
-    }
-  } else if (k == "park_rebase_every") {
-    ok = ParseU64(v, &f->park_rebase_every) && f->park_rebase_every > 0;
-  } else if (k == "park_chain_budget") {
-    ok = ParseF64(v, &f->park_chain_budget) && f->park_chain_budget > 0.0;
   } else {
     return LineError(line_no, "unknown fleet key '" + k + "'");
   }

@@ -72,15 +72,7 @@ struct GridSpec {
 // A device population for src/fleet: `count` simulated devices striped over
 // the devices x workloads combos, sharded into contiguous ranges of
 // `shard_devices` and driven in bounded `slice_bytes` slices so idle devices
-// can park as compact serialized state between slices.
-// How parked devices are stored between slices (DESIGN.md §14). Neither
-// mode changes any simulated byte, so reports and checkpoints are identical
-// across modes; only stored/resident park bytes differ.
-enum class FleetParkMode : uint8_t {
-  kFull = 0,   // every park is a self-contained packed snapshot
-  kDelta = 1,  // packed XOR-deltas against the previous park, rebased
-               // periodically onto a fresh self-contained base
-};
+// can park as compact serialized state between slices (DESIGN.md §14).
 
 struct FleetSpec {
   std::string name;
@@ -95,11 +87,6 @@ struct FleetSpec {
   uint64_t max_device_bytes = 0;       // per-device byte cap (0 = auto)
   uint64_t batch_requests = 32;
   double survival_bin_hours = 24.0;    // survival-curve bin, full-device hours
-  // Park policy. Excluded from FleetSpecFingerprint: it does not affect the
-  // simulation trajectory, so checkpoints interchange across modes/knobs.
-  FleetParkMode park_mode = FleetParkMode::kDelta;
-  uint64_t park_rebase_every = 16;  // max delta-chain length before rebasing
-  double park_chain_budget = 8.0;   // max chain bytes as a multiple of base
 };
 
 struct CampaignSpec {

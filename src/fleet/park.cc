@@ -104,11 +104,20 @@ void PackZeroRunsAppend(const uint8_t* raw, size_t size,
   }
 }
 
+}  // namespace
+
+void PackZeroRunsInto(const uint8_t* raw, size_t size,
+                      std::vector<uint8_t>* out) {
+  out->clear();
+  out->reserve(size / 3 + 16);
+  PackZeroRunsAppend(raw, size, out);
+}
+
 // Decodes a zero-run stream occupying exactly packed[0, size). All bounds
 // checks are in subtraction form: the run lengths are attacker-controlled
 // varints, so `pos + lit` style additions could wrap uint64 and pass.
-Status UnpackZeroRunsRange(const uint8_t* packed, size_t size,
-                           std::vector<uint8_t>* out, size_t max_raw_size) {
+Status UnpackZeroRunsInto(const uint8_t* packed, size_t size,
+                          std::vector<uint8_t>* out, size_t max_raw_size) {
   size_t pos = 0;
   uint64_t raw_size = 0;
   if (!GetVarint(packed, size, &pos, &raw_size)) {
@@ -143,107 +152,6 @@ Status UnpackZeroRunsRange(const uint8_t* packed, size_t size,
   return Status::Ok();
 }
 
-// 8-lane byte transpose: dst holds byte k of every u64 word contiguously
-// (lane k = src[k], src[k+8], src[k+16], ...), then the sub-word tail
-// verbatim. Self-inverse up to the lane/word index swap below.
-void Transpose8(const uint8_t* src, size_t size, uint8_t* dst) {
-  if (size == 0) {
-    return;  // src/dst may be null for an empty image
-  }
-  const size_t words = size / 8;
-  for (size_t lane = 0; lane < 8; ++lane) {
-    const uint8_t* s = src + lane;
-    uint8_t* d = dst + lane * words;
-    for (size_t w = 0; w < words; ++w) {
-      d[w] = s[w * 8];
-    }
-  }
-  std::memcpy(dst + words * 8, src + words * 8, size - words * 8);
-}
-
-// Inverse of Transpose8: lane k of the image scatters back to bytes
-// k, k+8, k+16, ... of the raw snapshot.
-void Untranspose8Into(const std::vector<uint8_t>& img,
-                      std::vector<uint8_t>* raw) {
-  const size_t size = img.size();
-  raw->resize(size);
-  if (size == 0) {
-    return;
-  }
-  const size_t words = size / 8;
-  for (size_t lane = 0; lane < 8; ++lane) {
-    const uint8_t* s = img.data() + lane * words;
-    uint8_t* d = raw->data() + lane;
-    for (size_t w = 0; w < words; ++w) {
-      d[w * 8] = s[w];
-    }
-  }
-  std::memcpy(raw->data() + words * 8, img.data() + words * 8,
-              size - words * 8);
-}
-
-// Reads only the raw-size header of a zero-run stream.
-bool PeekRawSize(const uint8_t* packed, size_t size, uint64_t* raw_size) {
-  size_t pos = 0;
-  return GetVarint(packed, size, &pos, raw_size);
-}
-
-// XORs the literal runs of a zero-run stream onto img[0, img_size); zero
-// runs advance the cursor without touching memory, so the cost is the
-// delta's literal bytes, not the image size. The stream's recorded raw size
-// must equal img_size (callers peek it first to route resizes elsewhere).
-Status XorZeroRunsOnto(const uint8_t* packed, size_t size, uint8_t* img,
-                       size_t img_size) {
-  size_t pos = 0;
-  uint64_t raw_size = 0;
-  if (!GetVarint(packed, size, &pos, &raw_size)) {
-    return DataLossError("parked blob: truncated size header");
-  }
-  if (raw_size != img_size) {
-    return DataLossError("parked delta: size mismatch with base");
-  }
-  size_t out = 0;
-  while (out < raw_size) {
-    uint64_t lit = 0;
-    if (!GetVarint(packed, size, &pos, &lit) || lit > size - pos ||
-        lit > raw_size - out) {
-      return DataLossError("parked blob: bad literal run");
-    }
-    for (size_t i = 0; i < lit; ++i) {
-      img[out + i] = static_cast<uint8_t>(img[out + i] ^ packed[pos + i]);
-    }
-    pos += lit;
-    out += lit;
-    if (out == raw_size) {
-      break;
-    }
-    uint64_t zeros = 0;
-    if (!GetVarint(packed, size, &pos, &zeros) ||
-        zeros > raw_size - out) {
-      return DataLossError("parked blob: bad zero run");
-    }
-    out += zeros;
-  }
-  if (out != raw_size || pos != size) {
-    return DataLossError("parked blob: size mismatch");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-void PackZeroRunsInto(const uint8_t* raw, size_t size,
-                      std::vector<uint8_t>* out) {
-  out->clear();
-  out->reserve(size / 3 + 16);
-  PackZeroRunsAppend(raw, size, out);
-}
-
-Status UnpackZeroRunsInto(const uint8_t* packed, size_t size,
-                          std::vector<uint8_t>* out, size_t max_raw_size) {
-  return UnpackZeroRunsRange(packed, size, out, max_raw_size);
-}
-
 std::vector<uint8_t> PackZeroRuns(const std::vector<uint8_t>& raw) {
   std::vector<uint8_t> out;
   PackZeroRunsInto(raw.data(), raw.size(), &out);
@@ -255,151 +163,22 @@ Status UnpackZeroRuns(const std::vector<uint8_t>& packed,
   return UnpackZeroRunsInto(packed.data(), packed.size(), out);
 }
 
-void ParkPackFull(const std::vector<uint8_t>& raw, bool transpose,
-                  ParkScratch* scratch, std::vector<uint8_t>* out) {
+void ParkPackFull(const std::vector<uint8_t>& raw, std::vector<uint8_t>* out) {
   out->clear();
   out->reserve(raw.size() / 3 + 16);
-  if (!transpose) {
-    out->push_back(kParkFull);
-    PackZeroRunsAppend(raw.data(), raw.size(), out);
-    return;
-  }
-  uint8_t* img = scratch->image.Acquire(raw.size());
-  Transpose8(raw.data(), raw.size(), img);
-  out->push_back(kParkFullT8);
-  PackZeroRunsAppend(img, raw.size(), out);
+  out->push_back(kParkFull);
+  PackZeroRunsAppend(raw.data(), raw.size(), out);
 }
 
-void ParkPackDelta(const std::vector<uint8_t>& cur,
-                   const std::vector<uint8_t>& base, ParkScratch* scratch,
-                   std::vector<uint8_t>* out) {
-  const size_t size = cur.size();
-  uint8_t* img = scratch->image.Acquire(size);
-  if (size == 0) {
-    // fall through to pack an empty image
-  } else if (base.size() == size) {
-    // Fused XOR + transpose: strided reads, sequential writes.
-    const size_t words = size / 8;
-    for (size_t lane = 0; lane < 8; ++lane) {
-      const uint8_t* c = cur.data() + lane;
-      const uint8_t* b = base.data() + lane;
-      uint8_t* d = img + lane * words;
-      for (size_t w = 0; w < words; ++w) {
-        d[w] = static_cast<uint8_t>(c[w * 8] ^ b[w * 8]);
-      }
-    }
-    for (size_t i = words * 8; i < size; ++i) {
-      img[words * 8 + (i - words * 8)] =
-          static_cast<uint8_t>(cur[i] ^ base[i]);
-    }
-  } else {
-    // Sizes differ (rare: snapshot grew/shrank since the base was taken).
-    // XOR against the zero-padded/truncated base, then transpose.
-    uint8_t* x = scratch->xored.Acquire(size);
-    const size_t common = std::min(size, base.size());
-    for (size_t i = 0; i < common; ++i) {
-      x[i] = static_cast<uint8_t>(cur[i] ^ base[i]);
-    }
-    if (size > common) {
-      std::memcpy(x + common, cur.data() + common, size - common);
-    }
-    Transpose8(x, size, img);
-  }
-  out->clear();
-  out->reserve(size / 8 + 16);
-  out->push_back(kParkDelta);
-  PackZeroRunsAppend(img, size, out);
-}
-
-Status ParkUnpackFull(const std::vector<uint8_t>& blob, ParkScratch* scratch,
+Status ParkUnpackFull(const std::vector<uint8_t>& blob,
                       std::vector<uint8_t>* raw) {
   if (blob.empty()) {
     return DataLossError("park blob: empty");
   }
-  if (blob[0] == kParkFull) {
-    return UnpackZeroRunsRange(blob.data() + 1, blob.size() - 1, raw,
-                               kParkMaxRawBytes);
-  }
-  if (blob[0] != kParkFullT8) {
+  if (blob[0] != kParkFull) {
     return DataLossError("park blob: bad format tag");
   }
-  std::vector<uint8_t>& img = scratch->image.AcquireEmpty();
-  Status st =
-      UnpackZeroRunsRange(blob.data() + 1, blob.size() - 1, &img,
-                          kParkMaxRawBytes);
-  if (!st.ok()) {
-    return st;
-  }
-  Untranspose8Into(img, raw);
-  return Status::Ok();
-}
-
-Status ParkApplyDelta(const std::vector<uint8_t>& blob, ParkScratch* scratch,
-                      std::vector<uint8_t>* raw) {
-  if (blob.empty() || blob[0] != kParkDelta) {
-    return DataLossError("park blob: bad delta tag");
-  }
-  std::vector<uint8_t>& img = scratch->image.AcquireEmpty();
-  Status st =
-      UnpackZeroRunsRange(blob.data() + 1, blob.size() - 1, &img,
-                          kParkMaxRawBytes);
-  if (!st.ok()) {
-    return st;
-  }
-  const size_t size = img.size();
-  // The delta was taken against `raw` zero-padded/truncated to the packed
-  // snapshot's size, so reshape first, then XOR the untransposed image in.
-  raw->resize(size, 0);
-  const size_t words = size / 8;
-  for (size_t lane = 0; size != 0 && lane < 8; ++lane) {
-    const uint8_t* s = img.data() + lane * words;
-    uint8_t* d = raw->data() + lane;
-    for (size_t w = 0; w < words; ++w) {
-      d[w * 8] = static_cast<uint8_t>(d[w * 8] ^ s[w]);
-    }
-  }
-  for (size_t i = words * 8; i < size; ++i) {
-    (*raw)[i] = static_cast<uint8_t>((*raw)[i] ^ img[i]);
-  }
-  return Status::Ok();
-}
-
-Status ParkUnpackChain(const std::vector<uint8_t>& base,
-                       const std::vector<std::vector<uint8_t>>& chain,
-                       ParkScratch* scratch, std::vector<uint8_t>* raw) {
-  size_t next = 0;
-  if (!chain.empty() && !base.empty() && base[0] == kParkFullT8) {
-    // Fold size-stable deltas in transposed space: unpack the base image,
-    // XOR each delta's literals straight onto it, untranspose once.
-    std::vector<uint8_t>& img = scratch->image.AcquireEmpty();
-    FLASHSIM_RETURN_IF_ERROR(UnpackZeroRunsRange(base.data() + 1,
-                                                 base.size() - 1, &img,
-                                                 kParkMaxRawBytes));
-    while (next < chain.size()) {
-      const std::vector<uint8_t>& delta = chain[next];
-      if (delta.empty() || delta[0] != kParkDelta) {
-        return DataLossError("park blob: bad delta tag");
-      }
-      uint64_t delta_raw = 0;
-      if (!PeekRawSize(delta.data() + 1, delta.size() - 1, &delta_raw)) {
-        return DataLossError("parked blob: truncated size header");
-      }
-      if (delta_raw != img.size()) {
-        break;  // snapshot resized here: finish via the general path
-      }
-      FLASHSIM_RETURN_IF_ERROR(XorZeroRunsOnto(delta.data() + 1,
-                                               delta.size() - 1, img.data(),
-                                               img.size()));
-      ++next;
-    }
-    Untranspose8Into(img, raw);
-  } else {
-    FLASHSIM_RETURN_IF_ERROR(ParkUnpackFull(base, scratch, raw));
-  }
-  for (; next < chain.size(); ++next) {
-    FLASHSIM_RETURN_IF_ERROR(ParkApplyDelta(chain[next], scratch, raw));
-  }
-  return Status::Ok();
+  return UnpackZeroRunsInto(blob.data() + 1, blob.size() - 1, raw);
 }
 
 }  // namespace flashsim

@@ -15,13 +15,9 @@
 //    size, so truncated or corrupt blobs fail loudly. The scanner walks the
 //    input a uint64 word at a time.
 //
-//  * Park blobs (DESIGN.md §14): a one-byte format tag in front of a
-//    zero-run stream. kParkFull is the tagged PR6 format; kParkFullT8 and
-//    kParkDelta first pass the image through an 8-lane byte transpose
-//    (grouping byte k of every u64 together), which turns the
-//    low-bytes-changed / high-bytes-zero structure of wear planes into long
-//    zero runs. kParkDelta packs the transposed XOR against a caller-held
-//    base snapshot; applying it back onto that base is bit-exact.
+//  * Park blobs (DESIGN.md §14): the one-byte format tag kParkFull in front
+//    of a zero-run stream of the plain snapshot. This is the only park
+//    format and also the checkpoint form; any other tag is data loss.
 
 #ifndef SRC_FLEET_PARK_H_
 #define SRC_FLEET_PARK_H_
@@ -30,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/simcore/scratch.h"
 #include "src/simcore/status.h"
 
 namespace flashsim {
@@ -52,53 +47,17 @@ std::vector<uint8_t> PackZeroRuns(const std::vector<uint8_t>& raw);
 Status UnpackZeroRuns(const std::vector<uint8_t>& packed,
                       std::vector<uint8_t>* out);
 
-// Park blob format tags (first byte of every park blob).
-enum ParkFormat : uint8_t {
-  kParkFull = 0x01,    // zero-run(raw) — the PR6 layout behind a tag
-  kParkFullT8 = 0x02,  // zero-run(transpose8(raw)) — rebase bases
-  kParkDelta = 0x03,   // zero-run(transpose8(raw XOR base))
-};
+// Park blob format tag (first byte of every park blob). Tags 0x02 and 0x03
+// are retired (former transposed/delta formats): never reuse them.
+inline constexpr uint8_t kParkFull = 0x01;  // zero-run(raw)
 
-// Reusable intermediates for the park codec (one per worker thread).
-struct ParkScratch {
-  ScratchBuffer<uint8_t> image;  // transposed (or transposed-XOR) image
-  ScratchBuffer<uint8_t> xored;  // untransposed XOR (unequal-size fallback)
+// Packs `raw` as a self-contained kParkFull blob into `out` (reusing its
+// capacity).
+void ParkPackFull(const std::vector<uint8_t>& raw, std::vector<uint8_t>* out);
 
-  uint64_t grow_count() const {
-    return image.grow_count() + xored.grow_count();
-  }
-};
-
-// Packs `raw` as a self-contained park blob (kParkFull or, with
-// `transpose` set, kParkFullT8).
-void ParkPackFull(const std::vector<uint8_t>& raw, bool transpose,
-                  ParkScratch* scratch, std::vector<uint8_t>* out);
-
-// Packs `cur` as a kParkDelta blob against `base`. Unparking requires the
-// exact same base bytes.
-void ParkPackDelta(const std::vector<uint8_t>& cur,
-                   const std::vector<uint8_t>& base, ParkScratch* scratch,
-                   std::vector<uint8_t>* out);
-
-// Unpacks a self-contained blob (kParkFull / kParkFullT8) into `raw`.
-Status ParkUnpackFull(const std::vector<uint8_t>& blob, ParkScratch* scratch,
+// Unpacks a kParkFull blob into `raw`; any other tag is a DataLossError.
+Status ParkUnpackFull(const std::vector<uint8_t>& blob,
                       std::vector<uint8_t>* raw);
-
-// Applies a kParkDelta blob onto `raw` (which must hold the base it was
-// packed against); on return `raw` holds the reconstructed snapshot.
-Status ParkApplyDelta(const std::vector<uint8_t>& blob, ParkScratch* scratch,
-                      std::vector<uint8_t>* raw);
-
-// Unparks a base blob plus its ordered delta chain in one pass. When the
-// base is kParkFullT8 and the deltas are size-stable (the common case), the
-// chain folds in transposed space — each delta touches only its literal
-// bytes, with a single untranspose at the end — instead of paying two
-// full-image passes per link. Falls back to ParkApplyDelta per link when a
-// snapshot resize interrupts the run. Equivalent to ParkUnpackFull(base)
-// followed by ParkApplyDelta over `chain` in order.
-Status ParkUnpackChain(const std::vector<uint8_t>& base,
-                       const std::vector<std::vector<uint8_t>>& chain,
-                       ParkScratch* scratch, std::vector<uint8_t>* raw);
 
 }  // namespace flashsim
 

@@ -67,9 +67,8 @@ void WriteFleetJson(const FleetOutcome& outcome, std::ostream& os) {
   os << "  \"devices_bricked\": " << JsonNum(acc.DevicesBricked()) << ",\n";
   os << "  \"survival_bin_hours\": " << JsonNum(acc.survival_bin_hours())
      << ",\n";
-  // Only raw sizes here: packed/stored bytes depend on the park policy, and
-  // the report must be byte-identical across park modes (and thread counts).
-  // Policy-dependent park accounting lives in BENCH_fleet.json.
+  // Only raw sizes here: packed sizes are a property of the park codec, not
+  // of the simulation, and live in BENCH_fleet.json.
   os << "  \"parked_bytes\": {\"samples\": "
      << JsonNum(acc.parked_raw_bytes().count())
      << ", \"raw_mean\": " << JsonNum(acc.parked_raw_bytes().Mean())
@@ -152,14 +151,11 @@ void PrintFleetSummary(const FleetOutcome& outcome, std::ostream& os) {
                 outcome.completed ? "" : " (stopped at checkpoint)");
   os << line << "\n";
   std::snprintf(line, sizeof(line),
-                "  parked state: mean %.1f KiB raw -> %.1f KiB stored "
-                "(%.1f KiB resident) over %" PRIu64 " parks "
-                "(%" PRIu64 " delta, %" PRIu64 " rebase)",
+                "  parked state: mean %.1f KiB raw -> %.1f KiB resident "
+                "over %" PRIu64 " parks",
                 acc.parked_raw_bytes().Mean() / 1024.0,
-                outcome.park.StoredMean() / 1024.0,
                 outcome.park.ResidentMean() / 1024.0,
-                acc.parked_raw_bytes().count(), outcome.park.delta_parks,
-                outcome.park.rebases);
+                acc.parked_raw_bytes().count());
   os << line << "\n";
   if (acc.shard_slices().count() > 0) {
     std::snprintf(line, sizeof(line),

@@ -215,15 +215,7 @@ Result<FleetOutcome> RunFleet(const CampaignSpec& spec, const FleetSpec& fleet,
         if (!result.finished) {
           ++st.park.park_events;
           st.park.raw_bytes += result.parked_raw_bytes;
-          st.park.stored_bytes += result.stored_bytes;
           st.park.resident_bytes += result.resident_bytes;
-          if (result.delta_park) {
-            ++st.park.delta_parks;
-          } else if (result.rebase) {
-            ++st.park.rebases;
-          } else {
-            ++st.park.full_parks;
-          }
         }
         shard->Release(position, std::move(result));
         if (shard->Done()) {

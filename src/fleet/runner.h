@@ -43,25 +43,15 @@ struct FleetRunOptions {
   std::string resume_path;
 };
 
-// Park-path accounting for one run. Deterministic (every count and byte is
-// a pure function of spec + park knobs) but park-policy dependent, so it
-// feeds BENCH_fleet.json and stdout, never the byte-compared report.
+// Park-path accounting for one run. Every count and byte is a pure function
+// of the spec, but it feeds BENCH_fleet.json and stdout, never the
+// byte-compared report.
 struct FleetParkTotals {
-  uint64_t park_events = 0;  // delta_parks + full_parks + rebases
-  uint64_t delta_parks = 0;  // chained a packed delta
-  uint64_t full_parks = 0;   // first park of a device (self-contained blob)
-  uint64_t rebases = 0;      // mid-life chain reset onto a fresh base
+  uint64_t park_events = 0;
   uint64_t raw_bytes = 0;       // sum of raw snapshot sizes over park events
-  uint64_t stored_bytes = 0;    // sum of blob bytes written per park event
-  uint64_t resident_bytes = 0;  // sum of post-park resident (base + chain)
+  uint64_t resident_bytes = 0;  // sum of packed blob sizes over park events
   uint64_t scratch_grows = 0;   // worker scratch reallocations, summed
 
-  double StoredMean() const {
-    return park_events == 0
-               ? 0.0
-               : static_cast<double>(stored_bytes) /
-                     static_cast<double>(park_events);
-  }
   double ResidentMean() const {
     return park_events == 0
                ? 0.0

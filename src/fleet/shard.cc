@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/device/flash_device.h"
+#include "src/fleet/park.h"
 #include "src/simcore/rng.h"
 #include "src/simcore/units.h"
 #include "src/workload/generators.h"
@@ -32,6 +33,13 @@ Status PrefillDevice(FlashDevice& device, uint64_t start, uint64_t length) {
   return Status::Ok();
 }
 
+// Device count of shard `shard_index`: the last shard may be short.
+uint64_t ShardDeviceCount(const FleetSpec& fleet, uint64_t shard_index) {
+  const uint64_t first = shard_index * fleet.shard_devices;
+  const uint64_t end = std::min(first + fleet.shard_devices, fleet.device_count);
+  return end > first ? end - first : 0;
+}
+
 // Exact-size copy of a scratch pack buffer into a retained blob; parked
 // blobs live for many slices, so capacity overshoot would be resident waste.
 std::vector<uint8_t> ShrinkWrap(const std::vector<uint8_t>& packed) {
@@ -55,7 +63,7 @@ uint64_t FleetWorkerScratch::GrowCount() const {
   track(writer.buffer().capacity(), &writer_cap_, &writer_grows_);
   // The first tracked capacity of each buffer counts as its warm-up grow, so
   // the invariant reads "stable after warm-up" just like ScratchBuffer.
-  return raw_grows_ + packed_grows_ + writer_grows_ + park.grow_count();
+  return raw_grows_ + packed_grows_ + writer_grows_;
 }
 
 FleetDeviceRef FleetDeviceAt(const CampaignSpec& spec, const FleetSpec& fleet,
@@ -94,10 +102,8 @@ FleetShard::FleetShard(const CampaignSpec* spec, const FleetSpec* fleet)
 void FleetShard::InitFresh(uint64_t shard_index) {
   shard_index_ = shard_index;
   first_device_ = shard_index * fleet_->shard_devices;
-  const uint64_t end =
-      std::min(first_device_ + fleet_->shard_devices, fleet_->device_count);
   devices_.clear();
-  devices_.resize(end > first_device_ ? end - first_device_ : 0);
+  devices_.resize(ShardDeviceCount(*fleet_, shard_index));
   cursor_ = 0;
   remaining_ = devices_.size();
   claimed_ = 0;
@@ -139,8 +145,7 @@ bool FleetShard::HasClaimable() const {
 
 Status FleetShard::Unpark(FleetDeviceProgress& p,
                           FleetWorkerScratch* scratch) const {
-  FLASHSIM_RETURN_IF_ERROR(ParkUnpackChain(p.base, p.chain, &scratch->park,
-                                           &scratch->raw));
+  FLASHSIM_RETURN_IF_ERROR(ParkUnpackFull(p.blob, &scratch->raw));
   if (scratch->raw.size() != p.parked_raw_bytes) {
     return DataLossError("parked device: reconstructed size mismatch");
   }
@@ -149,44 +154,12 @@ Status FleetShard::Unpark(FleetDeviceProgress& p,
 
 void FleetShard::Park(FleetDeviceProgress& p, FleetWorkerScratch* scratch,
                       FleetSliceResult* result) const {
-  const std::vector<uint8_t>& new_raw = scratch->writer.buffer();
-  result->parked_raw_bytes = new_raw.size();
-
-  // Delta park: chain onto the previous park's raw (still in scratch->raw
-  // from Unpark), unless the chain is at its length bound. A park that
-  // would blow the chain byte budget rebases instead.
-  if (fleet_->park_mode == FleetParkMode::kDelta &&
-      p.phase == FleetDeviceProgress::kParked &&
-      p.chain.size() + 1 < fleet_->park_rebase_every) {
-    ParkPackDelta(new_raw, scratch->raw, &scratch->park, &scratch->packed);
-    const double budget =
-        fleet_->park_chain_budget * static_cast<double>(p.base.size());
-    if (static_cast<double>(p.chain_bytes + scratch->packed.size()) <=
-        budget) {
-      p.chain.push_back(ShrinkWrap(scratch->packed));
-      p.chain_bytes += scratch->packed.size();
-      p.parked_raw_bytes = new_raw.size();
-      result->stored_bytes = scratch->packed.size();
-      result->resident_bytes = p.base.size() + p.chain_bytes;
-      result->delta_park = true;
-      return;
-    }
-  }
-
-  // Full park: a self-contained blob becomes the new base. Delta mode uses
-  // the transposed layout for its rebase bases; full mode keeps the plain
-  // layout (the canonical checkpoint form, and the PR6 comparison baseline).
-  const bool rebase = p.phase == FleetDeviceProgress::kParked &&
-                      fleet_->park_mode == FleetParkMode::kDelta;
-  ParkPackFull(new_raw, /*transpose=*/fleet_->park_mode == FleetParkMode::kDelta,
-               &scratch->park, &scratch->packed);
-  p.base = ShrinkWrap(scratch->packed);
-  p.chain.clear();
-  p.chain_bytes = 0;
-  p.parked_raw_bytes = new_raw.size();
-  result->stored_bytes = p.base.size();
-  result->resident_bytes = p.base.size();
-  result->rebase = rebase;
+  const std::vector<uint8_t>& raw = scratch->writer.buffer();
+  ParkPackFull(raw, &scratch->packed);
+  p.blob = ShrinkWrap(scratch->packed);
+  p.parked_raw_bytes = raw.size();
+  result->parked_raw_bytes = raw.size();
+  result->resident_bytes = p.blob.size();
 }
 
 Status FleetShard::RunSlice(uint64_t position, FleetWorkerScratch* scratch,
@@ -231,7 +204,7 @@ Status FleetShard::RunSlice(uint64_t position, FleetWorkerScratch* scratch,
     SnapshotReader r(std::move(scratch->raw));
     FLASHSIM_RETURN_IF_ERROR(device.LoadState(r));
     FLASHSIM_RETURN_IF_ERROR(workload.LoadState(r));
-    // Keep the raw snapshot: it is the next park's delta base.
+    // Hand the buffer back so the next unpark reuses its capacity.
     scratch->raw = r.TakeBuffer();
   }
 
@@ -360,10 +333,8 @@ Status FleetShard::RunSlice(uint64_t position, FleetWorkerScratch* scratch,
   result->finished = true;
   // Free the parked representation now (the outcome above is all that
   // survives); the phase flip happens under the runner lock in Release.
-  p.base.clear();
-  p.base.shrink_to_fit();
-  p.chain.clear();
-  p.chain_bytes = 0;
+  p.blob.clear();
+  p.blob.shrink_to_fit();
   p.levels.clear();
   p.levels.shrink_to_fit();
   return Status::Ok();
@@ -410,9 +381,6 @@ void FleetShard::Save(SnapshotWriter& w) const {
   w.U64(fold_next_);
   w.U64(slices_run_);
   w.U64(devices_.size());
-  ParkScratch park;
-  std::vector<uint8_t> raw;
-  std::vector<uint8_t> canonical;
   for (const FleetDeviceProgress& p : devices_) {
     w.U8(p.phase);
     if (p.phase == FleetDeviceProgress::kDone) {
@@ -439,19 +407,7 @@ void FleetShard::Save(SnapshotWriter& w) const {
       w.F64(row.hours);
     }
     w.U64(p.parked_raw_bytes);
-    // Canonical form: a plain self-contained blob, whatever the in-memory
-    // park mode — so checkpoint files are byte-identical across park modes
-    // and a checkpoint written under one mode resumes under another.
-    if (p.chain.empty() && !p.base.empty() && p.base[0] == kParkFull) {
-      w.VecU8(p.base);
-    } else {
-      raw.clear();
-      const Status st = ParkUnpackChain(p.base, p.chain, &park, &raw);
-      assert(st.ok() && "parked blobs we wrote must reconstruct");
-      (void)st;
-      ParkPackFull(raw, /*transpose=*/false, &park, &canonical);
-      w.VecU8(canonical);
-    }
+    w.VecU8(p.blob);
   }
   acc_.Save(w);
   w.EndSection();
@@ -467,11 +423,24 @@ Status FleetShard::Load(SnapshotReader& r) {
   slices_run_ = r.U64();
   claimed_ = 0;
   const uint64_t n_devices = r.U64();
+  FLASHSIM_RETURN_IF_ERROR(r.status());
+  // The header sizes the device table and steers the claim loop, so it must
+  // match the spec before anything is allocated.
+  if (shard_index_ >= FleetShardCount(*fleet_) ||
+      first_device_ != shard_index_ * fleet_->shard_devices ||
+      n_devices != ShardDeviceCount(*fleet_, shard_index_) ||
+      (n_devices > 0 && cursor_ >= n_devices) || fold_next_ > n_devices) {
+    return DataLossError("fleet checkpoint: shard header does not match spec");
+  }
   devices_.clear();
   devices_.resize(n_devices);
+  uint64_t unfinished = 0;
   for (uint64_t i = 0; i < n_devices && r.ok(); ++i) {
     FleetDeviceProgress& p = devices_[i];
     p.phase = r.U8();
+    if (p.phase > FleetDeviceProgress::kDone) {
+      return DataLossError("fleet checkpoint: bad device phase");
+    }
     if (p.phase == FleetDeviceProgress::kDone) {
       if (r.Bool()) {
         p.outcome = std::make_unique<FleetDeviceOutcome>();
@@ -479,6 +448,7 @@ Status FleetShard::Load(SnapshotReader& r) {
       }
       continue;
     }
+    ++unfinished;
     if (p.phase != FleetDeviceProgress::kParked) {
       continue;
     }
@@ -497,9 +467,13 @@ Status FleetShard::Load(SnapshotReader& r) {
       p.levels.push_back(row);
     }
     p.parked_raw_bytes = r.U64();
-    r.VecU8(&p.base);  // canonical self-contained blob; chain restarts empty
-    p.chain.clear();
-    p.chain_bytes = 0;
+    r.VecU8(&p.blob);
+  }
+  FLASHSIM_RETURN_IF_ERROR(r.status());
+  // A shard is checkpointed only while in flight, so it has unfinished
+  // devices; a count that disagrees would leave Done() wrong forever.
+  if (remaining_ != unfinished || remaining_ == 0) {
+    return DataLossError("fleet checkpoint: shard remaining count is wrong");
   }
   FLASHSIM_RETURN_IF_ERROR(acc_.Load(r));
   r.LeaveSection();

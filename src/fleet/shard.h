@@ -18,17 +18,15 @@
 // MergeStats and may fold in completion order. The folded accumulator — and
 // hence the fleet report — is byte-identical at any thread count.
 //
-// Parking (DESIGN.md §14): between slices a device exists as a
-// self-contained base blob plus a bounded chain of packed XOR-deltas, each
-// taken against the previous park's raw snapshot (park=delta, the default),
-// or as a single self-contained packed blob per park (park=full, the PR6
-// behavior). Checkpoints always serialize the canonical self-contained form,
-// so checkpoint files are byte-identical across park modes.
+// Parking (DESIGN.md §14): between slices a device exists as one
+// self-contained kParkFull blob, replaced on every park. Checkpoints write
+// that blob as-is.
 //
 // Save()/Load() serialize the whole quiesced mid-shard state (cursors,
-// per-device progress, canonical parked blobs, pending outcomes,
-// accumulator) for fleet checkpoints; a restored shard continues
-// bit-exactly.
+// per-device progress, parked blobs, pending outcomes, accumulator) for
+// fleet checkpoints; a restored shard continues bit-exactly. Load() checks
+// the shard header against the fleet spec, so a corrupt checkpoint fails
+// with DataLossError instead of allocating or hanging.
 
 #ifndef SRC_FLEET_SHARD_H_
 #define SRC_FLEET_SHARD_H_
@@ -41,7 +39,6 @@
 #include "src/blockdev/block_device.h"
 #include "src/campaign/spec.h"
 #include "src/fleet/aggregate.h"
-#include "src/fleet/park.h"
 #include "src/simcore/snapshot.h"
 #include "src/simcore/status.h"
 
@@ -64,8 +61,8 @@ FleetDeviceRef FleetDeviceAt(const CampaignSpec& spec, const FleetSpec& fleet,
 // Number of shards a fleet splits into.
 uint64_t FleetShardCount(const FleetSpec& fleet);
 
-// Cross-slice progress of one device. While parked, this struct plus the
-// base blob and delta chain IS the device.
+// Cross-slice progress of one device. While parked, this struct plus its
+// blob IS the device.
 struct FleetDeviceProgress {
   enum Phase : uint8_t { kUnborn = 0, kParked = 1, kDone = 2 };
 
@@ -84,12 +81,7 @@ struct FleetDeviceProgress {
   uint64_t since_poll = 0;  // bytes since the last health poll
   uint32_t last_level = 0;
   std::vector<LevelRow> levels;
-  // Parked representation: `base` is a self-contained park blob (kParkFull
-  // or kParkFullT8); `chain` holds kParkDelta blobs, oldest first, each
-  // against the raw snapshot the previous link reconstructs.
-  std::vector<uint8_t> base;
-  std::vector<std::vector<uint8_t>> chain;
-  uint64_t chain_bytes = 0;
+  std::vector<uint8_t> blob;  // parked snapshot (kParkFull)
   uint64_t parked_raw_bytes = 0;
   // Finished devices buffer their outcome here until the in-order fold
   // cursor reaches them.
@@ -99,17 +91,16 @@ struct FleetDeviceProgress {
 // Per-worker reusable resources for the slice loop. After each worker has
 // seen every (model, snapshot size) once, driving further slices performs no
 // steady-state allocation: the snapshot writer, the raw/packed byte vectors,
-// the park transpose scratch, the batch buffer, and the simulated devices
-// themselves (state fully overwritten by LoadState) are all reused.
+// the batch buffer, and the simulated devices themselves (state fully
+// overwritten by LoadState) are all reused.
 struct FleetWorkerScratch {
   FleetWorkerScratch();
   ~FleetWorkerScratch();
 
   SnapshotWriter writer;            // Reset() before each park
-  std::vector<uint8_t> raw;         // previous park's raw snapshot
+  std::vector<uint8_t> raw;         // unparked raw snapshot
   std::vector<uint8_t> packed;      // pack destination before shrink-wrap
   std::vector<IoRequest> pending;   // SubmitBatch staging
-  ParkScratch park;
   std::vector<std::unique_ptr<FlashDevice>> devices;  // by model_index
 
   // Reallocation count across the reusable buffers above; stable once warm
@@ -131,12 +122,9 @@ struct FleetSliceResult {
   bool finished = false;        // device reached an end state this slice
   FleetDeviceOutcome outcome;   // valid when finished
   uint64_t parked_raw_bytes = 0;  // raw snapshot size (parked devices)
-  // Park accounting (host observability; deterministic but mode-dependent,
-  // so it feeds BENCH/stdout, never the byte-compared report).
-  uint64_t stored_bytes = 0;    // blob bytes appended/replaced by this park
-  uint64_t resident_bytes = 0;  // base + chain bytes after this park
-  bool delta_park = false;      // this park appended a chain delta
-  bool rebase = false;          // this park rewrote the base mid-life
+  // Packed blob size after this park (feeds BENCH/stdout, never the
+  // byte-compared report).
+  uint64_t resident_bytes = 0;
 };
 
 class FleetShard {
@@ -176,8 +164,7 @@ class FleetShard {
   const FleetAccumulator& accumulator() const { return acc_; }
 
   // Mid-shard checkpoint state ("SHRD" section). The shard must be quiesced
-  // (no outstanding claims); parked devices serialize in the canonical
-  // self-contained form regardless of park mode.
+  // (no outstanding claims).
   void Save(SnapshotWriter& w) const;
   Status Load(SnapshotReader& r);
 

@@ -133,6 +133,11 @@ struct SpecError {
   const char* want_substring;
 };
 
+// Prints a case as its label. CTest names value-parameterized cases after the
+// printed parameter, and the default printer dumps the struct's pointer bytes,
+// which change with every link and every run under ASLR.
+void PrintTo(const SpecError& error, std::ostream* os) { *os << error.label; }
+
 class CampaignSpecErrors : public ::testing::TestWithParam<SpecError> {};
 
 TEST_P(CampaignSpecErrors, RejectedWithLineNumber) {
@@ -177,7 +182,12 @@ INSTANTIATE_TEST_SUITE_P(
         SpecError{"bad_key_value",
                   "campaign c\nworkload w pattern=random bogus\n"
                   "grid g layer=block metric=bandwidth devices=emmc8 workloads=w\n",
-                  "expected key=value"}));
+                  "expected key=value"},
+        // park= is not a fleet key; the generic unknown-key check rejects it.
+        SpecError{"retired_park_key",
+                  "campaign c\nworkload w pattern=random\n"
+                  "fleet f count=4 devices=emmc8 workloads=w park=delta\n",
+                  "unknown fleet key 'park'"}));
 
 TEST(CampaignSpecTest, LoadFileReportsMissingPath) {
   const Result<CampaignSpec> parsed =

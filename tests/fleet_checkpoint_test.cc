@@ -1,7 +1,8 @@
 // Fleet checkpoint/restore: a run killed at a checkpoint and resumed must
 // produce a final report bit-identical to an uninterrupted run, checkpoints
-// from a different spec are rejected, and files carrying sections this
-// reader does not know (a future writer) load with the section skipped.
+// from a different spec or with a corrupt shard header are rejected, and
+// files carrying sections this reader does not know (a future writer) load
+// with the section skipped.
 
 #include <cstdint>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/report.h"
 #include "src/fleet/runner.h"
+#include "src/fleet/shard.h"
 #include "src/simcore/snapshot.h"
 
 namespace flashsim {
@@ -89,61 +91,110 @@ TEST(FleetCheckpointTest, KillAtCheckpointThenResumeIsBitExact) {
   std::remove(cp_path.c_str());
 }
 
-// Satellite: delta-parked devices crossing a checkpoint kill+resume. The
-// checkpoint canonicalizes every parked device to a self-contained kParkFull
-// blob, so (a) a single-threaded checkpoint file is byte-identical whichever
-// park mode produced it, (b) a checkpoint written under one mode resumes
-// under the other, and (c) the resumed report matches a never-checkpointed
-// run bit-for-bit.
-TEST(FleetCheckpointTest, DeltaParkedKillResumeIsBitExactAcrossModes) {
-  const CampaignSpec spec = ParseTestSpec();
-  const FleetSpec* base = spec.FindFleet("pop");
-  ASSERT_NE(base, nullptr);
-  FleetSpec delta_fleet = *base;
-  delta_fleet.park_mode = FleetParkMode::kDelta;
-  FleetSpec full_fleet = *base;
-  full_fleet.park_mode = FleetParkMode::kFull;
-
-  FleetRunOptions plain;
-  plain.threads = 2;
-  Result<FleetOutcome> uninterrupted = RunFleet(spec, delta_fleet, plain);
-  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
-  std::ostringstream plain_os;
-  WriteFleetJson(uninterrupted.value(), plain_os);
-
-  // Controlled kill under each park mode, single-threaded so the checkpoint
-  // files themselves are comparable (deterministic schedule).
-  auto kill_run = [&](const FleetSpec& fleet, const std::string& cp_path) {
-    FleetRunOptions killed;
-    killed.threads = 1;
-    killed.checkpoint_path = cp_path;
-    killed.checkpoint_every_shards = 2;
-    killed.stop_after_checkpoints = 1;
-    Result<FleetOutcome> partial = RunFleet(spec, fleet, killed);
-    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-    EXPECT_FALSE(partial.value().completed);
-  };
-  const std::string cp_delta = TempPath("fleet_cp_delta.fsnp");
-  const std::string cp_full = TempPath("fleet_cp_full.fsnp");
-  kill_run(delta_fleet, cp_delta);
-  kill_run(full_fleet, cp_full);
-  EXPECT_EQ(ReadFileBytes(cp_delta), ReadFileBytes(cp_full))
-      << "checkpoint files must be canonical across park modes";
-
-  // Cross-mode resume: the delta-mode checkpoint resumed under both modes
-  // (and at a different thread count) reproduces the uninterrupted report.
-  for (const FleetSpec* resume_fleet : {&delta_fleet, &full_fleet}) {
-    FleetRunOptions resume;
-    resume.threads = 3;
-    resume.resume_path = cp_delta;
-    Result<FleetOutcome> resumed = RunFleet(spec, *resume_fleet, resume);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    std::ostringstream os;
-    WriteFleetJson(resumed.value(), os);
-    EXPECT_EQ(os.str(), plain_os.str());
+// Little-endian unsigned integer of `width` bytes at `at`.
+uint64_t ReadLe(const std::vector<uint8_t>& bytes, size_t at, int width) {
+  uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(bytes[at + static_cast<size_t>(i)]) << (8 * i);
   }
-  std::remove(cp_delta.c_str());
-  std::remove(cp_full.c_str());
+  return v;
+}
+
+// Offset of the first SHRD section's payload in a checkpoint file, or 0.
+// Container layout: 12-byte header, then { tag u32 | length u64 | payload }.
+size_t FindShardPayload(const std::vector<uint8_t>& bytes) {
+  size_t at = 12;
+  while (at + 12 <= bytes.size()) {
+    if (ReadLe(bytes, at, 4) == SnapshotTag("SHRD")) {
+      return at + 12;
+    }
+    at += 12 + static_cast<size_t>(ReadLe(bytes, at + 4, 8));
+  }
+  return 0;
+}
+
+void PatchU64(std::vector<uint8_t>* bytes, size_t at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[at + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// The shard header of a checkpoint is untrusted input. A device
+// count that disagrees with the spec must not size an allocation, and a
+// remaining count that disagrees with the device phases must not leave the
+// runner waiting forever on a shard whose Done() never turns true. Both
+// fail with a clean DataLossError.
+TEST(FleetCheckpointTest, CorruptShardHeaderFailsCleanly) {
+  const CampaignSpec spec = ParseTestSpec();
+  const FleetSpec* fleet = spec.FindFleet("pop");
+  ASSERT_NE(fleet, nullptr);
+
+  // A real mid-shard checkpoint: one slice per device of shard 0 leaves all
+  // of its devices parked, written by the checkpoint writer the runner uses.
+  FleetShard shard(&spec, fleet);
+  shard.InitFresh(0);
+  FleetWorkerScratch scratch;
+  for (uint64_t i = 0; i < shard.device_count(); ++i) {
+    uint64_t position = 0;
+    ASSERT_TRUE(shard.Claim(&position));
+    FleetSliceResult result;
+    ASSERT_TRUE(shard.RunSlice(position, &scratch, &result).ok());
+    ASSERT_FALSE(result.finished);
+    shard.Release(position, std::move(result));
+  }
+  FleetAccumulator global;
+  global.Init(fleet->devices, fleet->survival_bin_hours);
+  FleetCheckpointWriteView view;
+  view.fingerprint = FleetSpecFingerprint(spec, *fleet);
+  view.device_count = fleet->device_count;
+  view.shard_count = FleetShardCount(*fleet);
+  view.next_fresh_shard = 1;
+  view.global = &global;
+  view.inflight.push_back(&shard);
+  const std::string cp_path = TempPath("fleet_cp_corrupt.fsnp");
+  ASSERT_TRUE(WriteFleetCheckpoint(cp_path, view).ok());
+
+  // Untouched, it resumes to the uninterrupted report.
+  FleetRunOptions plain;
+  plain.threads = 1;
+  const std::string uninterrupted = RunToReport(spec, plain);
+  FleetRunOptions resume;
+  resume.threads = 2;
+  resume.resume_path = cp_path;
+  EXPECT_EQ(RunToReport(spec, resume), uninterrupted);
+
+  const std::vector<uint8_t> good = ReadFileBytes(cp_path);
+  const size_t payload = FindShardPayload(good);
+  ASSERT_GT(payload, 0u);
+  // SHRD payload: shard_index, first_device, cursor, remaining, fold_next,
+  // slices_run, n_devices (u64 each).
+  constexpr size_t kRemaining = 3 * 8;
+  constexpr size_t kDevices = 6 * 8;
+  const struct {
+    const char* label;
+    size_t field;
+    uint64_t value;
+  } patches[] = {
+      {"n_devices huge", kDevices, uint64_t{1} << 40},
+      {"n_devices one short", kDevices, shard.device_count() - 1},
+      {"remaining too large", kRemaining, shard.device_count() + 1},
+      {"remaining zero", kRemaining, 0},
+  };
+  for (const auto& patch : patches) {
+    std::vector<uint8_t> bytes = good;
+    PatchU64(&bytes, payload + patch.field, patch.value);
+    WriteFileBytes(cp_path, bytes);
+    Result<FleetCheckpointState> loaded =
+        ReadFleetCheckpoint(cp_path, spec, *fleet);
+    ASSERT_FALSE(loaded.ok()) << patch.label;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << patch.label << ": " << loaded.status().ToString();
+    Result<FleetOutcome> run = RunFleet(spec, *fleet, resume);
+    ASSERT_FALSE(run.ok()) << patch.label;
+    EXPECT_EQ(run.status().code(), StatusCode::kDataLoss) << patch.label;
+  }
+  std::remove(cp_path.c_str());
 }
 
 TEST(FleetCheckpointTest, RejectsCheckpointFromDifferentSpec) {
@@ -199,14 +250,7 @@ TEST(FleetCheckpointTest, UnknownTrailingSectionIsSkipped) {
   // Container layout: 12-byte header, then sections of
   // { tag u32 | length u64 | payload }. Find the end of the first section
   // (the FMAN manifest) and splice an unknown section there.
-  auto read_u64 = [&](size_t at) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(bytes[at + static_cast<size_t>(i)]) << (8 * i);
-    }
-    return v;
-  };
-  const size_t manifest_len = static_cast<size_t>(read_u64(16));
+  const size_t manifest_len = static_cast<size_t>(ReadLe(bytes, 16, 8));
   const size_t splice_at = 12 + 4 + 8 + manifest_len;
   ASSERT_LT(splice_at, bytes.size());
 

@@ -141,9 +141,8 @@ TEST(ParkBudgetTest, WornScaledEmmc8SnapshotStaysWithinBudget) {
   EXPECT_EQ(raw, w.buffer());
 }
 
-TEST(ParkBlobTest, FullBlobRoundTripsWithAndWithoutTranspose) {
+TEST(ParkBlobTest, FullBlobRoundTrips) {
   std::mt19937_64 rng(31);
-  ParkScratch scratch;
   for (const size_t size : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
                             size_t{9}, size_t{1000}, size_t{64 * 1024 + 3}}) {
     std::vector<uint8_t> raw(size);
@@ -151,100 +150,14 @@ TEST(ParkBlobTest, FullBlobRoundTripsWithAndWithoutTranspose) {
       // Wear-plane-like content: mostly small values with zero high bytes.
       raw[i] = (i % 8 < 2) ? static_cast<uint8_t>(rng()) : 0;
     }
-    for (const bool transpose : {false, true}) {
-      std::vector<uint8_t> blob;
-      ParkPackFull(raw, transpose, &scratch, &blob);
-      ASSERT_FALSE(blob.empty());
-      EXPECT_EQ(blob[0], transpose ? kParkFullT8 : kParkFull);
-      std::vector<uint8_t> back;
-      ASSERT_TRUE(ParkUnpackFull(blob, &scratch, &back).ok());
-      EXPECT_EQ(back, raw) << "size " << size << " transpose " << transpose;
-    }
+    std::vector<uint8_t> blob;
+    ParkPackFull(raw, &blob);
+    ASSERT_FALSE(blob.empty());
+    EXPECT_EQ(blob[0], kParkFull);
+    std::vector<uint8_t> back;
+    ASSERT_TRUE(ParkUnpackFull(blob, &back).ok());
+    EXPECT_EQ(back, raw) << "size " << size;
   }
-}
-
-TEST(ParkBlobTest, DeltaRoundTripsAgainstBase) {
-  std::mt19937_64 rng(47);
-  ParkScratch scratch;
-  std::vector<uint8_t> base(48 * 1024);
-  for (auto& b : base) {
-    b = (rng() % 4 == 0) ? static_cast<uint8_t>(rng()) : 0;
-  }
-  // Current snapshot: the base with a sparse set of low-byte edits, plus a
-  // grown tail (snapshots can change size slice-to-slice).
-  std::vector<uint8_t> cur = base;
-  for (int i = 0; i < 200; ++i) {
-    cur[(rng() % (cur.size() / 8)) * 8] ^= static_cast<uint8_t>(1 + rng() % 255);
-  }
-  cur.resize(cur.size() + 1234, 0x5a);
-
-  std::vector<uint8_t> blob;
-  ParkPackDelta(cur, base, &scratch, &blob);
-  ASSERT_FALSE(blob.empty());
-  EXPECT_EQ(blob[0], kParkDelta);
-  // Sparse deltas pack far below the full snapshot.
-  std::vector<uint8_t> full_blob;
-  ParkPackFull(cur, /*transpose=*/true, &scratch, &full_blob);
-  EXPECT_LT(blob.size(), full_blob.size());
-
-  std::vector<uint8_t> reconstructed = base;
-  ASSERT_TRUE(ParkApplyDelta(blob, &scratch, &reconstructed).ok());
-  EXPECT_EQ(reconstructed, cur);
-
-  // A shrinking snapshot round-trips too.
-  std::vector<uint8_t> smaller(cur.begin(), cur.begin() + 10000);
-  ParkPackDelta(smaller, cur, &scratch, &blob);
-  std::vector<uint8_t> back = cur;
-  ASSERT_TRUE(ParkApplyDelta(blob, &scratch, &back).ok());
-  EXPECT_EQ(back, smaller);
-}
-
-TEST(ParkBlobTest, UnpackChainMatchesPerLinkApply) {
-  std::mt19937_64 rng(53);
-  ParkScratch scratch;
-  std::vector<uint8_t> raw(32 * 1024);
-  for (size_t i = 0; i < raw.size(); ++i) {
-    raw[i] = (i % 8 == 0) ? static_cast<uint8_t>(rng()) : 0;
-  }
-  std::vector<uint8_t> base_blob;
-  ParkPackFull(raw, /*transpose=*/true, &scratch, &base_blob);
-
-  // A chain of sparse edits, with one mid-chain resize to force the
-  // fused fast path to hand off to the per-link fallback.
-  std::vector<std::vector<uint8_t>> chain;
-  std::vector<uint8_t> prev = raw;
-  std::vector<uint8_t> cur = raw;
-  for (int link = 0; link < 6; ++link) {
-    for (int e = 0; e < 40; ++e) {
-      cur[rng() % cur.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
-    }
-    if (link == 3) {
-      cur.resize(cur.size() + 777, 0x3c);  // snapshot grew this slice
-    }
-    std::vector<uint8_t> delta;
-    ParkPackDelta(cur, prev, &scratch, &delta);
-    chain.push_back(std::move(delta));
-    prev = cur;
-  }
-
-  // Reference: unpack the base, apply each link.
-  std::vector<uint8_t> reference;
-  ASSERT_TRUE(ParkUnpackFull(base_blob, &scratch, &reference).ok());
-  for (const std::vector<uint8_t>& delta : chain) {
-    ASSERT_TRUE(ParkApplyDelta(delta, &scratch, &reference).ok());
-  }
-  EXPECT_EQ(reference, cur);
-
-  std::vector<uint8_t> fused;
-  ASSERT_TRUE(ParkUnpackChain(base_blob, chain, &scratch, &fused).ok());
-  EXPECT_EQ(fused, cur);
-
-  // The chain also folds onto an untransposed (checkpoint-canonical) base.
-  std::vector<uint8_t> plain_base;
-  ParkPackFull(raw, /*transpose=*/false, &scratch, &plain_base);
-  std::vector<uint8_t> from_plain;
-  ASSERT_TRUE(ParkUnpackChain(plain_base, chain, &scratch, &from_plain).ok());
-  EXPECT_EQ(from_plain, cur);
 }
 
 TEST(ParkBlobTest, RejectsHugeClaimedSizeWithoutAllocating) {
@@ -260,11 +173,8 @@ TEST(ParkBlobTest, RejectsHugeClaimedSizeWithoutAllocating) {
 
   std::vector<uint8_t> evil_blob = evil;
   evil_blob.insert(evil_blob.begin(), kParkFull);
-  ParkScratch scratch;
   std::vector<uint8_t> raw;
-  EXPECT_FALSE(ParkUnpackFull(evil_blob, &scratch, &raw).ok());
-  evil_blob[0] = kParkDelta;
-  EXPECT_FALSE(ParkApplyDelta(evil_blob, &scratch, &raw).ok());
+  EXPECT_FALSE(ParkUnpackFull(evil_blob, &raw).ok());
 }
 
 // Satellite: decode fuzz. Every mutation of a valid blob either decodes
@@ -274,40 +184,34 @@ TEST(ParkBlobTest, RejectsHugeClaimedSizeWithoutAllocating) {
 // test suite.
 TEST(ParkFuzzTest, CorruptedAndTruncatedBlobsFailCleanly) {
   std::mt19937_64 rng(0xf22);
-  ParkScratch scratch;
   std::vector<uint8_t> raw(4096);
   for (size_t i = 0; i < raw.size(); ++i) {
     raw[i] = (i / 64) % 3 == 0 ? static_cast<uint8_t>(rng()) : 0;
   }
-  std::vector<uint8_t> base = raw;
-  base.front() ^= 0x11;
-  base.back() ^= 0x22;
-
   std::vector<uint8_t> full;
-  std::vector<uint8_t> delta;
-  ParkPackFull(raw, /*transpose=*/true, &scratch, &full);
-  ParkPackDelta(raw, base, &scratch, &delta);
+  ParkPackFull(raw, &full);
 
   auto check_decode = [&](const std::vector<uint8_t>& blob) {
     std::vector<uint8_t> out;
-    if (!blob.empty() && blob[0] == kParkDelta) {
-      out = base;
-      const Status st = ParkApplyDelta(blob, &scratch, &out);
-      if (!st.ok()) {
-        EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-      }
-    } else {
-      const Status st = ParkUnpackFull(blob, &scratch, &out);
-      if (!st.ok()) {
-        const bool clean = st.code() == StatusCode::kDataLoss ||
-                           st.code() == StatusCode::kInvalidArgument;
-        EXPECT_TRUE(clean) << st.ToString();
-      }
+    const Status st = ParkUnpackFull(blob, &out);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
     }
   };
 
+  // The retired transposed (0x02) and delta (0x03) tags in front of an
+  // otherwise valid stream are data loss, not a second decoder.
+  for (const uint8_t retired : {uint8_t{0x02}, uint8_t{0x03}}) {
+    std::vector<uint8_t> blob = full;
+    blob[0] = retired;
+    std::vector<uint8_t> out;
+    const Status st = ParkUnpackFull(blob, &out);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss)
+        << "tag " << static_cast<int>(retired) << ": " << st.ToString();
+  }
+
   for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<uint8_t> blob = (trial & 1) ? delta : full;
+    std::vector<uint8_t> blob = full;
     switch (trial % 4) {
       case 0: {  // single byte flip
         blob[rng() % blob.size()] ^= static_cast<uint8_t>(1 + rng() % 255);

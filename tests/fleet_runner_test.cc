@@ -110,44 +110,14 @@ TEST(FleetRunnerTest, OutcomeCountsAreConsistent) {
   EXPECT_GE(outcome.acc.DevicesBricked(), 3u);
   EXPECT_LT(outcome.acc.DevicesBricked(), 12u);
   // Parked-state samples were collected (devices parked at least once), and
-  // the stored blobs average smaller than the raw snapshots they encode.
+  // the resident blobs average smaller than the raw snapshots they encode.
   EXPECT_GT(outcome.acc.parked_raw_bytes().count(), 0u);
   EXPECT_EQ(outcome.park.park_events, outcome.acc.parked_raw_bytes().count());
-  EXPECT_LT(outcome.park.StoredMean(), outcome.acc.parked_raw_bytes().Mean());
+  EXPECT_LT(outcome.park.ResidentMean(), outcome.acc.parked_raw_bytes().Mean());
   // Every shard reports its slice count into the imbalance digest.
   EXPECT_EQ(outcome.acc.shard_slices().count(), outcome.shard_count);
   EXPECT_EQ(static_cast<uint64_t>(outcome.acc.shard_slices().sum()),
             outcome.sched.slices);
-}
-
-TEST(FleetRunnerTest, DeltaAndFullParkingProduceIdenticalReports) {
-  const CampaignSpec spec = ParseTestSpec();
-  const FleetSpec* base = spec.FindFleet("pop");
-  ASSERT_NE(base, nullptr);
-
-  FleetSpec delta_fleet = *base;
-  delta_fleet.park_mode = FleetParkMode::kDelta;
-  FleetSpec full_fleet = *base;
-  full_fleet.park_mode = FleetParkMode::kFull;
-
-  FleetRunOptions options;
-  options.threads = 2;
-  Result<FleetOutcome> delta_run = RunFleet(spec, delta_fleet, options);
-  Result<FleetOutcome> full_run = RunFleet(spec, full_fleet, options);
-  ASSERT_TRUE(delta_run.ok()) << delta_run.status().ToString();
-  ASSERT_TRUE(full_run.ok()) << full_run.status().ToString();
-
-  std::ostringstream delta_os;
-  std::ostringstream full_os;
-  WriteFleetJson(delta_run.value(), delta_os);
-  WriteFleetJson(full_run.value(), full_os);
-  EXPECT_EQ(delta_os.str(), full_os.str());
-
-  // Delta mode actually chained deltas and stored fewer bytes per park.
-  EXPECT_GT(delta_run.value().park.delta_parks, 0u);
-  EXPECT_EQ(full_run.value().park.delta_parks, 0u);
-  EXPECT_LT(delta_run.value().park.StoredMean(),
-            full_run.value().park.StoredMean());
 }
 
 TEST(FleetRunnerTest, WorkerScratchDoesNotGrowInSteadyState) {
